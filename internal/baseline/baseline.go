@@ -25,13 +25,12 @@ import (
 
 	"xenic/internal/fault"
 	"xenic/internal/membership"
-	"xenic/internal/metrics"
 	"xenic/internal/model"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/store/btree"
 	"xenic/internal/store/chained"
 	"xenic/internal/txnmodel"
-	"xenic/internal/wire"
 )
 
 // System selects which baseline to run.
@@ -115,6 +114,9 @@ func (c Config) validate() error {
 	}
 	if c.Threads < 1 || c.Outstanding < 1 {
 		return fmt.Errorf("baseline: bad thread/window config")
+	}
+	if err := c.Membership.Validate(); err != nil {
+		return fmt.Errorf("baseline: %w", err)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Nodes); err != nil {
@@ -201,16 +203,10 @@ func (s *shardData) apply(key uint64, value []byte, version uint64) {
 	s.hash.Insert(key, value, version)
 }
 
-// Stats aggregates one node's outcomes (same shape as core's).
+// Stats aggregates one node's outcomes: the outcome counters every system
+// keeps, shared with core.
 type Stats struct {
-	Committed           int64
-	Measured            int64
-	Failed              int64
-	Aborts              int64
-	UpdateKeysCommitted int64
-	Latency             *metrics.Histogram
-	// AbortReasons breaks Aborts down by wire.Status.
-	AbortReasons [wire.NumStatuses]int64
+	runner.Counters
 }
 
 // logRecord is a backup log entry.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"xenic/internal/membership"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -93,7 +95,7 @@ func runSystem(t *testing.T, sys System, dur sim.Time) *Cluster {
 	cfg.Nodes = 4
 	cfg.Threads = 4
 	cfg.Outstanding = 4
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestDeterminism(t *testing.T) {
 		cfg := DefaultConfig(DrTMH)
 		cfg.Nodes = 4
 		cfg.Threads = 4
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, runner.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,13 +173,33 @@ func TestMeasureProducesResults(t *testing.T) {
 	cfg := DefaultConfig(FaSST)
 	cfg.Nodes = 4
 	cfg.Threads = 6
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := cl.Measure(2*sim.Millisecond, 10*sim.Millisecond)
 	if res.PerServerTput <= 0 || res.Median <= 0 {
 		t.Fatalf("empty result: %+v", res)
+	}
+}
+
+// TestMembershipConfigValidation: a zero lease duration, renew period or
+// check period is rejected at construction, as core rejects it, rather than
+// silently replaced by defaults.
+func TestMembershipConfigValidation(t *testing.T) {
+	g := &counterGen{keys: 100, keysPer: 2}
+	for i, zero := range []func(*membership.Config){
+		func(m *membership.Config) { *m = membership.Config{} },
+		func(m *membership.Config) { m.LeaseDuration = 0 },
+		func(m *membership.Config) { m.RenewPeriod = 0 },
+		func(m *membership.Config) { m.CheckPeriod = -1 },
+	} {
+		cfg := DefaultConfig(DrTMH)
+		cfg.Nodes = 4
+		zero(&cfg.Membership)
+		if _, err := New(cfg, g, runner.Observers{}); err == nil {
+			t.Errorf("membership config %d accepted: %+v", i, cfg.Membership)
+		}
 	}
 }
 
@@ -190,7 +212,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for i, cfg := range bad {
 		cfg.Params = DefaultConfig(DrTMH).Params
-		if _, err := New(cfg, g); err == nil {
+		if _, err := New(cfg, g, runner.Observers{}); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

@@ -6,10 +6,10 @@ import (
 	"xenic/internal/check"
 	"xenic/internal/fault"
 	"xenic/internal/hostrt"
-	"xenic/internal/load"
 	"xenic/internal/membership"
 	"xenic/internal/metrics"
 	"xenic/internal/rdma"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/simnet"
 	"xenic/internal/store/btree"
@@ -20,20 +20,17 @@ import (
 
 // Cluster is a simulated baseline deployment.
 type Cluster struct {
-	cfg    Config
-	eng    *sim.Engine
-	nw     *simnet.Network
-	inj    *fault.Injector
-	nodes  []*Node
-	gen    txnmodel.Generator
-	place  txnmodel.Placement
-	reg    *txnmodel.Registry
-	tracer *trace.Tracer
-	hist   *check.History // nil unless SetHistory attached one
-	loadOn bool
+	runner.Skeleton
 
-	loadSrc load.Source // nil: built-in closed loop drives the cluster
-	srcOn   bool        // the attached source has been started
+	cfg   Config
+	eng   *sim.Engine
+	nw    *simnet.Network
+	inj   *fault.Injector
+	nodes []*Node
+	gen   txnmodel.Generator
+	place txnmodel.Placement
+	reg   *txnmodel.Registry
+	hist  *check.History // nil unless a history recorder is attached
 
 	// mgr is the same lease-based cluster manager Xenic runs; baselines
 	// renew leases and observe epoch-stamped views so harness comparisons
@@ -43,15 +40,11 @@ type Cluster struct {
 	view membership.View
 }
 
-// SetTracer attaches tr to the cluster (nil disables tracing). Call after
-// New and before Start. The baseline data path is RDMA verbs, so the trace
-// carries process/thread metadata and fault-injection events rather than
-// per-phase spans; it exists mainly so any System can be traced uniformly.
-func (cl *Cluster) SetTracer(tr *trace.Tracer) {
-	cl.tracer = tr
-	if cl.inj != nil {
-		cl.inj.SetTracer(tr)
-	}
+// attachTracer names the trace's processes and threads. The baseline data
+// path is RDMA verbs, so the trace carries process/thread metadata and
+// fault-injection events rather than per-phase spans; it exists mainly so
+// any System can be traced uniformly.
+func (cl *Cluster) attachTracer(tr *trace.Tracer) {
 	if !tr.Enabled() {
 		return
 	}
@@ -63,11 +56,9 @@ func (cl *Cluster) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (cl *Cluster) Tracer() *trace.Tracer { return cl.tracer }
-
-// New builds and populates a baseline cluster running workload gen.
-func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
+// New builds and populates a baseline cluster running workload gen, then
+// attaches the observers in obs.
+func New(cfg Config, gen txnmodel.Generator, obs runner.Observers) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -146,10 +137,6 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 	// Membership: the same lease service Xenic runs, so view epochs mean
 	// the same thing across systems. A partitioned node cannot reach the
 	// manager and its lease lapses; otherwise the epoch never moves.
-	if cfg.Membership == (membership.Config{}) {
-		cfg.Membership = membership.DefaultConfig()
-		cl.cfg.Membership = cfg.Membership
-	}
 	cl.mgr = membership.New(cl.eng, cfg.Nodes, cfg.Replication, cfg.Membership)
 	cl.view = cl.mgr.View()
 	cl.mgr.OnChange(func(v membership.View) { cl.view = v })
@@ -163,91 +150,33 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 		})
 	}
 	cl.mgr.Start()
+
+	cl.hist = obs.History
+	hosts := make([]*hostrt.Host, len(cl.nodes))
+	counters := make([]*runner.Counters, len(cl.nodes))
+	for i, n := range cl.nodes {
+		hosts[i], counters[i] = n.host, &n.stats.Counters
+	}
+	err := cl.Init(runner.Parts{
+		Engine: cl.eng, Network: cl.nw, Injector: cl.inj,
+		Hosts: hosts, Counters: counters, Driver: cl,
+		Quiesced:  cl.Quiesced,
+		Inflight:  cl.inflight,
+		Tracer:    cl.attachTracer,
+		Stats:     cl.registerStats,
+		Telemetry: cl.registerTelemetry,
+	}, obs)
+	if err != nil {
+		return nil, err
+	}
 	return cl, nil
 }
-
-// Engine exposes the simulation engine.
-func (cl *Cluster) Engine() *sim.Engine { return cl.eng }
-
-// View returns the current membership view. Baselines share Xenic's lease
-// service and epoch numbering but never react to view changes.
-func (cl *Cluster) View() membership.View { return cl.view }
 
 // Node returns node i.
 func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 
 // Stats returns node i's counters.
 func (n *Node) Stats() *Stats { return &n.stats }
-
-// Start begins load generation: the attached LoadSource if one was set
-// (xenic.WithLoad), otherwise the built-in closed loop.
-func (cl *Cluster) Start() {
-	if cl.loadSrc != nil {
-		cl.srcOn = true
-		cl.loadSrc.Start()
-		return
-	}
-	cl.StartClosedLoop()
-}
-
-// StopLoad stops generating new transactions.
-func (cl *Cluster) StopLoad() {
-	if cl.loadSrc != nil {
-		cl.srcOn = false
-		cl.loadSrc.Stop()
-		return
-	}
-	cl.StopClosedLoop()
-}
-
-// SetLoad attaches a load source, replacing the built-in closed loop as
-// what Start/StopLoad control. Call before any load has been started.
-func (cl *Cluster) SetLoad(src load.Source) error {
-	if src == nil {
-		return fmt.Errorf("baseline: SetLoad: nil source")
-	}
-	if cl.loadSrc != nil {
-		return fmt.Errorf("baseline: SetLoad: a load source is already attached")
-	}
-	if err := src.Attach(cl); err != nil {
-		return err
-	}
-	cl.loadSrc = src
-	return nil
-}
-
-// OfferedLoad snapshots the attached load source's admission and session
-// counters; all-zero when the built-in closed loop is driving.
-func (cl *Cluster) OfferedLoad() load.Stats {
-	if cl.loadSrc == nil {
-		return load.Stats{}
-	}
-	return cl.loadSrc.Stats()
-}
-
-// loadRunning reports whether some load generator has been started and not
-// stopped since.
-func (cl *Cluster) loadRunning() bool {
-	if cl.loadSrc != nil {
-		return cl.srcOn
-	}
-	return cl.loadOn
-}
-
-// StartClosedLoop begins closed-loop generation on every thread (the
-// load.Driver surface; Start delegates here when no source is set).
-func (cl *Cluster) StartClosedLoop() {
-	cl.loadOn = true
-	for _, n := range cl.nodes {
-		n.host.WakeAll()
-	}
-}
-
-// StopClosedLoop halts closed-loop generation.
-func (cl *Cluster) StopClosedLoop() { cl.loadOn = false }
-
-// Nodes returns the node count.
-func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
 
 // AppThreadsPerNode reports the coordinator threads per node (every
 // baseline host thread is a coordinator).
@@ -267,9 +196,6 @@ func (cl *Cluster) InjectTxn(node, thread int, d *txnmodel.TxnDesc, done func(ok
 	n.host.Thread(thread).Wake()
 }
 
-// Run advances simulated time by d.
-func (cl *Cluster) Run(d sim.Time) { cl.eng.Run(cl.eng.Now() + d) }
-
 // Quiesced reports whether all transactions have drained.
 func (cl *Cluster) Quiesced() bool {
 	for _, n := range cl.nodes {
@@ -285,73 +211,10 @@ func (cl *Cluster) Quiesced() bool {
 	return true
 }
 
-// Drain stops load and runs until quiesced or the deadline passes.
-func (cl *Cluster) Drain(deadline sim.Time) bool {
-	cl.StopLoad()
-	end := cl.eng.Now() + deadline
-	for cl.eng.Now() < end {
-		if cl.Quiesced() {
-			return true
-		}
-		cl.Run(100 * sim.Microsecond)
-	}
-	return cl.Quiesced()
-}
-
-// Result is the shared measurement summary in txnmodel; Xenic and baseline
-// windows report through the same type.
-type Result = txnmodel.Result
-
-// Measure runs warmup, resets statistics, runs the window, aggregates.
-func (cl *Cluster) Measure(warmup, window sim.Time) Result {
-	// Whatever generator is attached — closed loop or a LoadSource — is the
-	// one started here; Measure never falls back to the closed loop when an
-	// open-loop source is driving.
-	if !cl.loadRunning() {
-		cl.Start()
-	}
-	cl.Run(warmup)
-	type snap struct {
-		committed, measured, aborts, failed int64
-		reasons                             [wire.NumStatuses]int64
-	}
-	snaps := make([]snap, len(cl.nodes))
-	for i, n := range cl.nodes {
-		snaps[i] = snap{n.stats.Committed, n.stats.Measured, n.stats.Aborts,
-			n.stats.Failed, n.stats.AbortReasons}
-		n.stats.Latency.Reset()
-	}
-	cl.Run(window)
-	res := Result{Duration: window}
-	lat := metrics.NewHistogram()
-	for i, n := range cl.nodes {
-		res.Committed += n.stats.Committed - snaps[i].committed
-		res.Measured += n.stats.Measured - snaps[i].measured
-		res.Aborts += n.stats.Aborts - snaps[i].aborts
-		res.Failed += n.stats.Failed - snaps[i].failed
-		res.AbortLocked += n.stats.AbortReasons[wire.StatusAbortLocked] - snaps[i].reasons[wire.StatusAbortLocked]
-		res.AbortVersion += n.stats.AbortReasons[wire.StatusAbortVersion] - snaps[i].reasons[wire.StatusAbortVersion]
-		res.AbortMissing += n.stats.AbortReasons[wire.StatusAbortMissing] - snaps[i].reasons[wire.StatusAbortMissing]
-		res.AbortView += n.stats.AbortReasons[wire.StatusAbortView] - snaps[i].reasons[wire.StatusAbortView]
-		// Verb timeouts on fault runs must land in the breakdown too, so
-		// the per-reason fields always sum to Aborts.
-		res.AbortTimeout += n.stats.AbortReasons[wire.StatusAbortTimeout] - snaps[i].reasons[wire.StatusAbortTimeout]
-		lat.Merge(n.stats.Latency)
-	}
-	res.PerServerTput = float64(res.Measured) / window.Seconds() / float64(len(cl.nodes))
-	res.Median = lat.Median()
-	res.P99 = lat.Quantile(0.99)
-	res.Mean = lat.Mean()
-	return res
-}
-
-// RegisterMetrics registers the cluster's counters into reg: per-node
-// transaction outcomes, abort reasons, latency, and RDMA verb/byte
-// counters, plus cluster-wide aggregates under "cluster.".
-func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
+// registerStats registers the baseline's own stats entries, beside the
+// shared txn, abort and latency ones: per-node RDMA verb and byte counters,
+// plus the cluster-wide membership view and RDMA totals.
+func (cl *Cluster) registerStats(reg *metrics.Registry) {
 	rdmaSnap := func(s rdma.Stats) map[string]any {
 		out := map[string]any{
 			"reads":     s.Reads,
@@ -368,11 +231,7 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 		return out
 	}
 	for _, n := range cl.nodes {
-		n := n
 		sub := reg.Sub(fmt.Sprintf("node%d", n.id))
-		sub.RegisterFunc("txn", func() any { return n.stats.txnSnapshot() })
-		sub.RegisterFunc("aborts_by_reason", func() any { return abortReasonMap(n.stats.AbortReasons) })
-		sub.RegisterHistogram("latency", n.stats.Latency)
 		sub.RegisterFunc("rdma", func() any { return rdmaSnap(n.rnic.Stats()) })
 	}
 	agg := reg.Sub("cluster")
@@ -385,25 +244,6 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 			}
 		}
 		return map[string]any{"epoch": v.Epoch, "alive": alive}
-	})
-	agg.RegisterFunc("txn", func() any {
-		var s Stats
-		for _, n := range cl.nodes {
-			s.Committed += n.stats.Committed
-			s.Measured += n.stats.Measured
-			s.Aborts += n.stats.Aborts
-			s.Failed += n.stats.Failed
-		}
-		return s.txnSnapshot()
-	})
-	agg.RegisterFunc("aborts_by_reason", func() any {
-		var reasons [wire.NumStatuses]int64
-		for _, n := range cl.nodes {
-			for i, v := range n.stats.AbortReasons {
-				reasons[i] += v
-			}
-		}
-		return abortReasonMap(reasons)
 	})
 	agg.RegisterFunc("rdma", func() any {
 		var s rdma.Stats
@@ -420,43 +260,6 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 		}
 		return rdmaSnap(s)
 	})
-	if cl.inj != nil {
-		f := reg.Sub("fault")
-		cl.inj.RegisterMetrics(f)
-		f.RegisterFunc("net", func() any {
-			retx, lost := cl.nw.FaultCounters()
-			return map[string]any{"retx": retx, "lost": lost}
-		})
-	}
-	agg.RegisterFunc("latency", func() any {
-		m := metrics.NewHistogram()
-		for _, n := range cl.nodes {
-			m.Merge(n.stats.Latency)
-		}
-		return m.Snapshot()
-	})
-}
-
-func (s *Stats) txnSnapshot() map[string]any {
-	return map[string]any{
-		"committed": s.Committed,
-		"measured":  s.Measured,
-		"aborts":    s.Aborts,
-		"failed":    s.Failed,
-	}
-}
-
-// abortReasonMap keys non-zero abort counts by status name, skipping the
-// StatusOK slot.
-func abortReasonMap(reasons [wire.NumStatuses]int64) map[string]int64 {
-	out := map[string]int64{}
-	for i, v := range reasons {
-		if wire.Status(i) == wire.StatusOK || v == 0 {
-			continue
-		}
-		out[wire.Status(i).String()] = v
-	}
-	return out
 }
 
 // ReadKey reads a key from its primary (for tests).

@@ -285,7 +285,7 @@ func (n *Node) hostIdle(t *hostrt.Thread) bool {
 			n.launch(t, at, tx)
 		}
 	}
-	if !n.cl.loadOn {
+	if !n.cl.ClosedLoop() {
 		return did
 	}
 	for at.outstanding < n.cl.cfg.Outstanding {

@@ -3,71 +3,24 @@ package baseline
 import (
 	"fmt"
 
-	"xenic/internal/sim"
 	"xenic/internal/telemetry"
-	"xenic/internal/wire"
 )
 
-// SetTelemetry registers the baseline cluster's time-series probes on s and
-// starts its sampling ticker. Call after New and before Start. The series
-// mirror the Xenic cluster's naming where the resources correspond —
-// transaction rates, windowed latency quantiles, host-thread occupancy and
-// queue depth, lock-table size, egress-link occupancy — so the dashboard
-// and bottleneck analyzer read both systems identically. Probes are
-// read-only; an attached sampler never perturbs the run.
-func (cl *Cluster) SetTelemetry(s *telemetry.Sampler) {
-	if s == nil {
-		return
-	}
+// registerTelemetry registers the baseline's own probe, beside the shared
+// transaction, latency, host and network series: the lock-table size,
+// named like the Xenic cluster's so the dashboard and bottleneck analyzer
+// read both systems identically.
+func (cl *Cluster) registerTelemetry(s *telemetry.Sampler) {
 	for _, n := range cl.nodes {
-		n := n
-		sub := s.Sub(fmt.Sprintf("node%d", n.id))
-		st := &n.stats
-		sub.Rate("txn.commit_rate", func() int64 { return st.Committed })
-		sub.Rate("txn.abort_rate", func() int64 { return st.Aborts })
-		sub.Ratio("txn.lock_conflict_frac",
-			func() int64 { return st.AbortReasons[wire.StatusAbortLocked] },
-			func() int64 { return st.Committed + st.Aborts })
-		sub.Gauge("txn.inflight", func() float64 {
-			v := 0
-			for _, at := range n.app {
-				v += at.outstanding
-			}
-			return float64(v)
-		})
-		sub.Quantiles("latency", st.Latency)
-
-		host := n.host
-		sub.Occupancy("host.occupancy", func() sim.Time { return host.Utilization().TotalBusy() }, host.Threads())
-		sub.Gauge("host.queue_depth", func() float64 { return float64(host.QueueDepth()) })
-		sub.Gauge("lock.held", func() float64 { return float64(len(n.locks)) })
-		sub.Occupancy("net.tx_occupancy", func() sim.Time { return cl.nw.TxBusy(n.id) }, cl.nw.Lanes())
-		sub.Gauge("net.egress_backlog_us", func() float64 { return cl.nw.EgressBacklog(n.id).Micros() })
+		s.Sub(fmt.Sprintf("node%d", n.id)).Gauge("lock.held", func() float64 { return float64(len(n.locks)) })
 	}
+}
 
-	// Open-loop front-end series, only when a source is attached: the scope
-	// is absent on closed-loop runs, keeping their telemetry exports
-	// byte-identical to pre-LoadSource output.
-	if cl.loadSrc != nil {
-		src := cl.loadSrc
-		ls := s.Sub("load")
-		ls.Rate("offered_rate", func() int64 { return src.Stats().Offered })
-		ls.Rate("admitted_rate", func() int64 { return src.Stats().Admitted })
-		ls.Rate("completed_rate", func() int64 { return src.Stats().Completed })
-		ls.Rate("rejected_rate", func() int64 { return src.Stats().Rejected })
-		ls.Gauge("sessions", func() float64 { return float64(src.Stats().ActiveSessions) })
-		ls.Gauge("inflight", func() float64 { return float64(src.Stats().InFlight) })
-		ls.Gauge("queue_len", func() float64 { return float64(src.Stats().QueueLen) })
-		ls.Gauge("queue_delay_p99_us", func() float64 { return src.Stats().QueueDelayP99.Micros() })
+// inflight counts node i's outstanding transactions across its threads.
+func (cl *Cluster) inflight(i int) int {
+	v := 0
+	for _, at := range cl.nodes[i].app {
+		v += at.outstanding
 	}
-
-	cs := s.Sub("cluster")
-	cs.Rate("commit_rate", func() int64 {
-		var v int64
-		for _, n := range cl.nodes {
-			v += n.stats.Committed
-		}
-		return v
-	})
-	s.Attach(cl.eng)
+	return v
 }

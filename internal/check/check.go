@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"xenic/internal/sim"
+	"xenic/internal/store/btree"
 	"xenic/internal/wire"
 )
 
@@ -293,6 +294,38 @@ func (h *History) LastVersions() map[uint64]uint64 {
 		}
 	}
 	return out
+}
+
+// AuditReplica checks one drained replica against last (LastVersions):
+// every version it stores, in the hash table visited by forEach and in
+// tree, either matches the last committed writer of its key or predates
+// any committed write (populate installs version 1). where names the
+// replica in the error.
+func AuditReplica(where string, forEach func(func(key, version uint64, value []byte) bool),
+	tree *btree.Tree, last map[uint64]uint64) error {
+	var err error
+	bad := func(key, version uint64) error {
+		return fmt.Errorf("audit: %s: key %d at version %d, last committed writer installed %d",
+			where, key, version, last[key])
+	}
+	forEach(func(key uint64, version uint64, value []byte) bool {
+		if want, ok := last[key]; ok && version != want || !ok && version > 1 {
+			err = bad(key, version)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	tree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
+		if want, ok := last[it.Key]; ok && it.Version != want || !ok && it.Version > 1 {
+			err = bad(it.Key, it.Version)
+			return false
+		}
+		return true
+	})
+	return err
 }
 
 // ShipConsistent audits shipped transactions: for every ship shadow whose

@@ -6,10 +6,10 @@ import (
 	"xenic/internal/check"
 	"xenic/internal/fault"
 	"xenic/internal/hostrt"
-	"xenic/internal/load"
 	"xenic/internal/membership"
 	"xenic/internal/metrics"
 	"xenic/internal/nicrt"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/simnet"
 	"xenic/internal/store/btree"
@@ -23,18 +23,16 @@ import (
 // coordinator, the primary of one shard, and a backup for Replication-1
 // others (§4).
 type Cluster struct {
-	cfg    Config
-	eng    *sim.Engine
-	nw     *simnet.Network
-	nodes  []*Node
-	gen    txnmodel.Generator
-	place  txnmodel.Placement
-	reg    *txnmodel.Registry
-	spec   txnmodel.StoreSpec
-	loadOn bool
+	runner.Skeleton
 
-	loadSrc load.Source // nil: built-in closed loop drives the cluster
-	srcOn   bool        // the attached source has been started
+	cfg   Config
+	eng   *sim.Engine
+	nw    *simnet.Network
+	nodes []*Node
+	gen   txnmodel.Generator
+	place txnmodel.Placement
+	reg   *txnmodel.Registry
+	spec  txnmodel.StoreSpec
 
 	mgr  *membership.Manager
 	view membership.View
@@ -45,8 +43,8 @@ type Cluster struct {
 	fwdInFlight []int64
 
 	inj    *fault.Injector // nil unless Config.Faults is set
-	tracer *trace.Tracer   // nil unless SetTracer attached one
-	hist   *check.History  // nil unless SetHistory attached one
+	tracer *trace.Tracer   // nil unless a tracer is attached
+	hist   *check.History  // nil unless a history recorder is attached
 	mv     *mvState        // MVCC timestamp machinery (disabled unless Config.MVCC)
 }
 
@@ -66,8 +64,9 @@ func (cl *Cluster) replicasOf(s int) []int {
 // View returns the current membership view.
 func (cl *Cluster) View() membership.View { return cl.view }
 
-// New builds and populates a cluster running workload gen.
-func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
+// New builds and populates a cluster running workload gen, then attaches
+// the observers in obs.
+func New(cfg Config, gen txnmodel.Generator, obs runner.Observers) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -190,6 +189,27 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 	}
 	cl.mgr.Start()
 	cl.scheduleFaults()
+
+	cl.hist = obs.History
+	hosts := make([]*hostrt.Host, len(cl.nodes))
+	counters := make([]*runner.Counters, len(cl.nodes))
+	for i, n := range cl.nodes {
+		hosts[i], counters[i] = n.host, &n.stats.Counters
+	}
+	err := cl.Init(runner.Parts{
+		Engine: cl.eng, Network: cl.nw, Injector: cl.inj,
+		Hosts: hosts, Counters: counters, Driver: cl,
+		Quiesced:  cl.Quiesced,
+		Inflight:  cl.inflight,
+		Window:    cl.measureWindow,
+		TxnExtra:  cl.txnExtra,
+		Tracer:    cl.attachTracer,
+		Stats:     cl.registerStats,
+		Telemetry: cl.registerTelemetry,
+	}, obs)
+	if err != nil {
+		return nil, err
+	}
 	return cl, nil
 }
 
@@ -307,86 +327,8 @@ func (cl *Cluster) populate() {
 	}
 }
 
-// Engine exposes the simulation engine.
-func (cl *Cluster) Engine() *sim.Engine { return cl.eng }
-
 // Node returns node i.
 func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
-
-// Nodes returns the node count.
-func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
-
-// Config returns the cluster configuration.
-func (cl *Cluster) Config() Config { return cl.cfg }
-
-// Start begins load generation: the attached LoadSource if one was set
-// (xenic.WithLoad), otherwise the built-in closed loop on every application
-// thread.
-func (cl *Cluster) Start() {
-	if cl.loadSrc != nil {
-		cl.srcOn = true
-		cl.loadSrc.Start()
-		return
-	}
-	cl.StartClosedLoop()
-}
-
-// StopLoad stops generating new transactions; in-flight ones drain.
-func (cl *Cluster) StopLoad() {
-	if cl.loadSrc != nil {
-		cl.srcOn = false
-		cl.loadSrc.Stop()
-		return
-	}
-	cl.StopClosedLoop()
-}
-
-// SetLoad attaches a load source, replacing the built-in closed loop as
-// what Start/StopLoad control. Attach errors (bad source configuration)
-// surface here. Call before any load has been started.
-func (cl *Cluster) SetLoad(src load.Source) error {
-	if src == nil {
-		return fmt.Errorf("core: SetLoad: nil source")
-	}
-	if cl.loadSrc != nil {
-		return fmt.Errorf("core: SetLoad: a load source is already attached")
-	}
-	if err := src.Attach(cl); err != nil {
-		return err
-	}
-	cl.loadSrc = src
-	return nil
-}
-
-// OfferedLoad snapshots the attached load source's admission and session
-// counters; all-zero when the built-in closed loop is driving.
-func (cl *Cluster) OfferedLoad() load.Stats {
-	if cl.loadSrc == nil {
-		return load.Stats{}
-	}
-	return cl.loadSrc.Stats()
-}
-
-// loadRunning reports whether some load generator has been started and not
-// stopped since.
-func (cl *Cluster) loadRunning() bool {
-	if cl.loadSrc != nil {
-		return cl.srcOn
-	}
-	return cl.loadOn
-}
-
-// StartClosedLoop begins closed-loop generation on every application thread
-// (the load.Driver surface; Start delegates here when no source is set).
-func (cl *Cluster) StartClosedLoop() {
-	cl.loadOn = true
-	for _, n := range cl.nodes {
-		n.host.WakeAll()
-	}
-}
-
-// StopClosedLoop halts closed-loop generation.
-func (cl *Cluster) StopClosedLoop() { cl.loadOn = false }
 
 // AppThreadsPerNode reports the coordinator application threads per node
 // (the load.Driver injection grid).
@@ -413,72 +355,33 @@ func (cl *Cluster) InjectTxn(node, thread int, d *txnmodel.TxnDesc, done func(ok
 	n.host.Thread(thread).Wake()
 }
 
-// Run advances simulated time by d.
-func (cl *Cluster) Run(d sim.Time) { cl.eng.Run(cl.eng.Now() + d) }
-
-// Result summarizes a measurement window. It is the shared measurement type
-// in txnmodel, so Xenic and baseline results are directly comparable.
-type Result = txnmodel.Result
-
-// Measure runs warmup, resets statistics, runs the measurement window, and
-// aggregates cluster-wide results.
-func (cl *Cluster) Measure(warmup, window sim.Time) Result {
-	// Whatever generator is attached — closed loop or a LoadSource — is the
-	// one started here; Measure never falls back to the closed loop when an
-	// open-loop source is driving (pinned by TestMeasureStartsAttachedSource).
-	if !cl.loadRunning() {
-		cl.Start()
-	}
-	cl.Run(warmup)
-	type snap struct {
-		committed, measured, aborts, failed int64
-		roCommitted, roAborts, snapDone     int64
-		reasons                             [wire.NumStatuses]int64
-	}
+// measureWindow opens core's part of a Measure window: the phase and
+// read-only latency histograms reset with the end-to-end one, and with MVCC
+// on the read-only breakdown joins the result.
+func (cl *Cluster) measureWindow() func(*txnmodel.Result) {
+	type snap struct{ roCommitted, roAborts, snapDone int64 }
 	snaps := make([]snap, len(cl.nodes))
 	for i, n := range cl.nodes {
-		snaps[i] = snap{n.stats.Committed, n.stats.Measured, n.stats.Aborts,
-			n.stats.Failed, n.stats.ROCommitted, n.stats.ROAborts,
-			n.stats.SnapCommitted, n.stats.AbortReasons}
-		n.stats.Latency.Reset()
+		snaps[i] = snap{n.stats.ROCommitted, n.stats.ROAborts, n.stats.SnapCommitted}
 		n.stats.ROLatency.Reset()
 		for _, h := range n.stats.PhaseLat {
 			h.Reset()
 		}
 	}
-	cl.Run(window)
-	res := Result{Duration: window}
-	lat := metrics.NewHistogram()
-	roLat := metrics.NewHistogram()
-	for i, n := range cl.nodes {
-		res.Committed += n.stats.Committed - snaps[i].committed
-		res.Measured += n.stats.Measured - snaps[i].measured
-		res.Aborts += n.stats.Aborts - snaps[i].aborts
-		res.Failed += n.stats.Failed - snaps[i].failed
-		res.AbortLocked += n.stats.AbortReasons[wire.StatusAbortLocked] - snaps[i].reasons[wire.StatusAbortLocked]
-		res.AbortVersion += n.stats.AbortReasons[wire.StatusAbortVersion] - snaps[i].reasons[wire.StatusAbortVersion]
-		res.AbortMissing += n.stats.AbortReasons[wire.StatusAbortMissing] - snaps[i].reasons[wire.StatusAbortMissing]
-		res.AbortView += n.stats.AbortReasons[wire.StatusAbortView] - snaps[i].reasons[wire.StatusAbortView]
-		res.AbortTimeout += n.stats.AbortReasons[wire.StatusAbortTimeout] - snaps[i].reasons[wire.StatusAbortTimeout]
-		res.AbortSched += n.stats.AbortReasons[wire.StatusAbortSched] - snaps[i].reasons[wire.StatusAbortSched]
-		lat.Merge(n.stats.Latency)
-		if cl.mv.enabled {
+	return func(res *txnmodel.Result) {
+		if !cl.mv.enabled {
+			return
+		}
+		roLat := metrics.NewHistogram()
+		for i, n := range cl.nodes {
 			res.ROCommitted += n.stats.ROCommitted - snaps[i].roCommitted
 			res.ROAborts += n.stats.ROAborts - snaps[i].roAborts
 			res.SnapCommitted += n.stats.SnapCommitted - snaps[i].snapDone
-			res.AbortSnapshot += n.stats.AbortReasons[wire.StatusAbortSnapshot] - snaps[i].reasons[wire.StatusAbortSnapshot]
 			roLat.Merge(n.stats.ROLatency)
 		}
-	}
-	res.PerServerTput = float64(res.Measured) / window.Seconds() / float64(len(cl.nodes))
-	res.Median = lat.Median()
-	res.P99 = lat.Quantile(0.99)
-	res.Mean = lat.Mean()
-	if cl.mv.enabled {
 		res.ROMedian = roLat.Median()
 		res.ROP99 = roLat.Quantile(0.99)
 	}
-	return res
 }
 
 // SchedStats is the conflict scheduler's counter block, re-exported so
@@ -537,20 +440,6 @@ func (cl *Cluster) Quiesced() bool {
 		}
 	}
 	return true
-}
-
-// Drain stops load and runs until quiesced (or the deadline elapses),
-// reporting success.
-func (cl *Cluster) Drain(deadline sim.Time) bool {
-	cl.StopLoad()
-	end := cl.eng.Now() + deadline
-	for cl.eng.Now() < end {
-		if cl.Quiesced() {
-			return true
-		}
-		cl.Run(100 * sim.Microsecond)
-	}
-	return cl.Quiesced()
 }
 
 // CheckInvariants validates every node's store and index structures plus

@@ -135,6 +135,9 @@ func (c Config) validate() error {
 		// shards as a 64-bit set (one shard per node).
 		return fmt.Errorf("core: MVCC supports at most 64 nodes, have %d", c.Nodes)
 	}
+	if err := c.Membership.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Nodes); err != nil {
 			return fmt.Errorf("core: %w", err)

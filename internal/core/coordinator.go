@@ -903,7 +903,6 @@ func (n *Node) finishTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
 // shed deadline, so there is no ctxn and no locks to release; the host
 // retries it with backoff like any other abort.
 func (n *Node) shedTxn(c *nicrt.Core, req *wire.TxnRequest) {
-	n.dbgEvt(req.TxnID, "shedTxn (scheduler shed)")
 	c.SendHost(&wire.TxnDone{
 		Header: wire.Header{TxnID: req.TxnID, Src: uint8(n.id)},
 		Status: wire.StatusAbortSched,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -131,7 +132,7 @@ func testConfig(nodes int, feat Features) Config {
 // commits), and replicas converge.
 func runCounters(t *testing.T, g *kvGen, cfg Config, dur sim.Time) *Cluster {
 	t.Helper()
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64) {
 		g := &kvGen{keys: 300, keysPer: 3, readFrac: 0.3, nicExec: true}
 		cfg := testConfig(4, AllFeatures())
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, runner.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestThroughputReasonable(t *testing.T) {
 	g := &kvGen{keys: 6000, keysPer: 3, readFrac: 0.5, nicExec: true}
 	cfg := testConfig(6, AllFeatures())
 	cfg.Outstanding = 8
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestVersionsMonotonic(t *testing.T) {
 	// (population wrote version 1; each increment bumps by exactly 1).
 	g := &kvGen{keys: 200, keysPer: 2, readFrac: 0, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

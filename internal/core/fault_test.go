@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xenic/internal/fault"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/trace"
 )
@@ -19,12 +20,11 @@ func faultyRun(t *testing.T, plan *fault.Plan, seed int64, dur sim.Time) (*Clust
 	cfg := testConfig(4, AllFeatures())
 	cfg.Seed = seed
 	cfg.Faults = plan
-	cl, err := New(cfg, g)
+	tr := trace.New()
+	cl, err := New(cfg, g, runner.Observers{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New()
-	cl.SetTracer(tr)
 	cl.Start()
 	cl.Run(dur)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -173,7 +173,7 @@ func TestPartitionTimeoutAborts(t *testing.T) {
 func TestFaultFreePathUnchanged(t *testing.T) {
 	g := &kvGen{keys: 100, keysPer: 2, readFrac: 0.2, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"xenic/internal/check"
 	"xenic/internal/sim"
-	"xenic/internal/store/btree"
 	"xenic/internal/wire"
 )
 
@@ -18,14 +17,6 @@ import (
 // computation. It schedules no events, charges no simulated time, and sends
 // no messages, so a run with a History attached is byte-identical to one
 // without.
-
-// SetHistory attaches a transaction-history recorder (nil disables
-// recording). Call after New and before Start so every transaction outcome
-// is captured. Prefer xenic.WithHistory at construction.
-func (cl *Cluster) SetHistory(h *check.History) { cl.hist = h }
-
-// History returns the attached recorder (nil when recording is off).
-func (cl *Cluster) History() *check.History { return cl.hist }
 
 // recordCommit appends t's committed outcome: the observed read set and the
 // write set with the versions the commit installs. Called exactly once per
@@ -176,7 +167,7 @@ func (cl *Cluster) AuditHistory() error {
 			if lockErr != nil {
 				return lockErr
 			}
-			if err := auditStore(fmt.Sprintf("node %d primary of shard %d", n.id, s), p.data, last); err != nil {
+			if err := check.AuditReplica(fmt.Sprintf("node %d primary of shard %d", n.id, s), p.data.Hash.ForEach, p.data.BTree, last); err != nil {
 				return err
 			}
 		}
@@ -191,7 +182,7 @@ func (cl *Cluster) AuditHistory() error {
 			if !cl.nodes[cl.primaryNode(s)].alive {
 				continue
 			}
-			if err := auditStore(fmt.Sprintf("node %d backup of shard %d", n.id, s), n.backups[s], last); err != nil {
+			if err := check.AuditReplica(fmt.Sprintf("node %d backup of shard %d", n.id, s), n.backups[s].Hash.ForEach, n.backups[s].BTree, last); err != nil {
 				return err
 			}
 		}
@@ -241,33 +232,4 @@ func (cl *Cluster) AuditHistory() error {
 		}
 	}
 	return nil
-}
-
-// auditStore checks one replica: every stored version either matches the
-// last committed writer of its key or predates any committed write (the
-// populate version is 1).
-func auditStore(where string, d *ShardData, last map[uint64]uint64) error {
-	var err error
-	bad := func(key, version uint64) error {
-		return fmt.Errorf("audit: %s: key %d at version %d, last committed writer installed %d",
-			where, key, version, last[key])
-	}
-	d.Hash.ForEach(func(key uint64, version uint64, value []byte) bool {
-		if want, ok := last[key]; ok && version != want || !ok && version > 1 {
-			err = bad(key, version)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	d.BTree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
-		if want, ok := last[it.Key]; ok && it.Version != want || !ok && it.Version > 1 {
-			err = bad(it.Key, it.Version)
-			return false
-		}
-		return true
-	})
-	return err
 }

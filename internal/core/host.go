@@ -146,7 +146,7 @@ func (n *Node) appIdle(t *hostrt.Thread, at *appThread) bool {
 			n.submit(t, at, tx)
 		}
 	}
-	if !n.cl.loadOn {
+	if !n.cl.ClosedLoop() {
 		return did
 	}
 	for at.outstanding < n.cl.cfg.Outstanding {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xenic/internal/check"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 )
 
@@ -20,12 +21,11 @@ func mvccConfig(nodes int) Config {
 // and returns the cluster and history for assertions.
 func runMVCC(t *testing.T, g *kvGen, cfg Config, dur sim.Time) (*Cluster, *check.History) {
 	t.Helper()
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, runner.Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(dur)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -137,7 +137,7 @@ func TestMVCCOffGolden(t *testing.T) {
 	if cfg.MVCC {
 		t.Fatal("test requires MVCC off")
 	}
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"xenic/internal/hostrt"
 	"xenic/internal/metrics"
 	"xenic/internal/nicrt"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/store/nicindex"
 	"xenic/internal/txnmodel"
@@ -23,17 +24,9 @@ func txnNode(id uint64) int   { return int(id >> 40) }
 
 // Stats aggregates one node's transaction outcomes.
 type Stats struct {
-	Committed int64 // committed transactions
-	Measured  int64 // committed transactions the workload counts (e.g. new orders)
-	Failed    int64 // transactions abandoned after MaxRetries
-	Aborts    int64 // abort events (each triggers a retry until the cap)
-	// UpdateKeysCommitted counts update keys across committed transactions;
-	// correctness tests compare it against observable state (e.g. counter
-	// sums) to detect lost or duplicated updates.
-	UpdateKeysCommitted int64
-	Latency             *metrics.Histogram
-	// AbortReasons breaks Aborts down by wire.Status.
-	AbortReasons [wire.NumStatuses]int64
+	// Counters are the outcome counters every system keeps (committed,
+	// measured, failed, aborts by reason, end-to-end latency).
+	runner.Counters
 	// PhaseLat records simulated time spent in each coordinator phase.
 	PhaseLat [numPhases]*metrics.Histogram
 	// Timeouts counts coordinator watchdog expirations by phase (fault runs).
@@ -177,7 +170,6 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		// Booting after a restart: until the join view arrives this node has
 		// no epoch to speak in and drops all traffic.
 		n.stats.StaleDrops++
-		n.dbgMsg(src, m, "DROP boot-fence")
 		return
 	}
 	if n.viewAlive != nil && src != n.id && !n.viewAlive[src] {
@@ -185,7 +177,6 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		// its state; processing it now would strand locks or resurrect
 		// transactions the survivors decided.
 		n.stats.StaleDrops++
-		n.dbgMsg(src, m, "DROP evicted-src-fence")
 		return
 	}
 	if n.joined != nil && src != n.id {
@@ -194,11 +185,9 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		// not serve stale reads or acquire locks with them.
 		if e := c.RxEpoch(); e < n.joined[src] || e < n.joined[n.id] {
 			n.stats.StaleDrops++
-			n.dbgMsg(src, m, "DROP epoch-fence")
 			return
 		}
 	}
-	n.dbgMsg(src, m, "recv")
 	switch m := m.(type) {
 	// Coordinator side.
 	case *wire.TxnRequest:
@@ -254,35 +243,6 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 	default:
 		panic(fmt.Sprintf("core: node %d: unexpected message %T", n.id, m))
 	}
-}
-
-// debugTxn enables message tracing for one transaction id; ^0 traces every
-// fence drop instead (tests only).
-var debugTxn uint64
-
-// dbgMsg traces a protocol message arriving for the traced transaction, or —
-// in trace-all mode — any fence drop.
-func (n *Node) dbgMsg(src int, m wire.Msg, what string) {
-	if debugTxn == 0 {
-		return
-	}
-	if debugTxn != ^uint64(0) {
-		if g, ok := m.(interface{ GetTxnID() uint64 }); !ok || g.GetTxnID() != debugTxn {
-			return
-		}
-	} else if what == "recv" {
-		return // trace-all mode: drops only
-	}
-	fmt.Printf("DBG t=%v node=%d src=%d msg=%v %s\n", n.cl.eng.Now(), n.id, src, m.Type(), what)
-}
-
-// dbgEvt traces a lifecycle event (phase change, abort, pending decision) of
-// the traced transaction.
-func (n *Node) dbgEvt(txn uint64, format string, args ...any) {
-	if debugTxn == 0 || txn != debugTxn {
-		return
-	}
-	fmt.Printf("DBG t=%v node=%d %s\n", n.cl.eng.Now(), n.id, fmt.Sprintf(format, args...))
 }
 
 // sendOrLoop sends m to node dst, or re-dispatches locally when dst is this

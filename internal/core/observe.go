@@ -33,14 +33,11 @@ func (p phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// SetTracer attaches tr to the cluster (nil disables tracing). Call after
-// New and before Start, so instrumentation sees all traffic. Host threads
-// appear as trace tids hostTidBase+i, NIC cores as tids 0..NICCores-1.
-func (cl *Cluster) SetTracer(tr *trace.Tracer) {
+// attachTracer wires tr into the NICs and the lock-transition hooks at
+// construction, so instrumentation sees all traffic. Host threads appear as
+// trace tids hostTidBase+i, NIC cores as tids 0..NICCores-1.
+func (cl *Cluster) attachTracer(tr *trace.Tracer) {
 	cl.tracer = tr
-	if cl.inj != nil {
-		cl.inj.SetTracer(tr)
-	}
 	for _, n := range cl.nodes {
 		n.nic.SetTracer(tr)
 		n.installLockTrace()
@@ -65,9 +62,6 @@ func (cl *Cluster) SetTracer(tr *trace.Tracer) {
 
 // hostTidBase offsets host-thread trace tids past the NIC-core tids.
 const hostTidBase = 64
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (cl *Cluster) Tracer() *trace.Tracer { return cl.tracer }
 
 // tr returns the cluster tracer for node-side instrumentation.
 func (n *Node) tr() *trace.Tracer { return n.cl.tracer }
@@ -126,13 +120,11 @@ func (n *Node) setPhase(t *ctxn, ph phase) {
 	t.phase = ph
 	t.phaseAt = now
 	t.epoch++ // phase changes are the watchdog's progress signal
-	n.dbgEvt(t.id, "phase -> %v", ph)
 }
 
 // closeTxn finishes accounting when the coordinator drops t's state. Call
 // exactly once per ctxn, immediately before deleting it from n.ctxns.
 func (n *Node) closeTxn(t *ctxn, st wire.Status) {
-	n.dbgEvt(t.id, "closeTxn status=%v phase=%v", st, t.phase)
 	// Release any hot-key claims the conflict scheduler holds for this
 	// transaction and re-admit its waiters. closeTxn is the single funnel
 	// every coordinated transaction passes through exactly once (commit,
@@ -156,20 +148,13 @@ func (n *Node) traceAbort(t *ctxn) {
 	}
 }
 
-// RegisterMetrics registers the cluster's counters into reg: per-node
-// transaction outcomes, abort reasons, phase and end-to-end latency
-// histograms, NIC index counters, and the NIC runtime's batching and PCIe
-// counters — plus cluster-wide aggregates under "cluster.".
-func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
+// registerStats registers core's own stats entries, beside the shared txn,
+// abort and latency ones: per-phase latency histograms, NIC index counters,
+// the NIC runtime's batching and PCIe counters, and on fault runs the
+// watchdog and fence counters.
+func (cl *Cluster) registerStats(reg *metrics.Registry) {
 	for _, n := range cl.nodes {
-		n := n
 		sub := reg.Sub(fmt.Sprintf("node%d", n.id))
-		sub.RegisterFunc("txn", func() any { return n.stats.txnSnapshot() })
-		sub.RegisterFunc("aborts_by_reason", func() any { return abortReasonMap(n.stats.AbortReasons) })
-		sub.RegisterHistogram("latency", n.stats.Latency)
 		for ph := 0; ph < numPhases; ph++ {
 			sub.RegisterHistogram("phase."+phase(ph).String(), n.stats.PhaseLat[ph])
 		}
@@ -186,39 +171,8 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 			sub.RegisterFunc("stale_drops", func() any { return n.stats.StaleDrops })
 		}
 	}
-	if cl.inj != nil {
-		f := reg.Sub("fault")
-		cl.inj.RegisterMetrics(f)
-		f.RegisterFunc("net", func() any {
-			retx, lost := cl.nw.FaultCounters()
-			return map[string]any{"retx": retx, "lost": lost}
-		})
-	}
 	agg := reg.Sub("cluster")
-	agg.RegisterFunc("txn", func() any {
-		var s Stats
-		for _, n := range cl.nodes {
-			s.Committed += n.stats.Committed
-			s.Measured += n.stats.Measured
-			s.Aborts += n.stats.Aborts
-			s.Failed += n.stats.Failed
-			s.SnapCommitted += n.stats.SnapCommitted
-			s.SnapInline += n.stats.SnapInline
-			s.SnapWalks += n.stats.SnapWalks
-		}
-		return s.txnSnapshot()
-	})
-	agg.RegisterFunc("aborts_by_reason", func() any {
-		var reasons [wire.NumStatuses]int64
-		for _, n := range cl.nodes {
-			for i, v := range n.stats.AbortReasons {
-				reasons[i] += v
-			}
-		}
-		return abortReasonMap(reasons)
-	})
 	for ph := 0; ph < numPhases; ph++ {
-		ph := ph
 		agg.RegisterFunc("phase."+phase(ph).String(), func() any {
 			m := metrics.NewHistogram()
 			for _, n := range cl.nodes {
@@ -227,30 +181,21 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 			return m.Snapshot()
 		})
 	}
-	agg.RegisterFunc("latency", func() any {
-		m := metrics.NewHistogram()
-		for _, n := range cl.nodes {
-			m.Merge(n.stats.Latency)
-		}
-		return m.Snapshot()
-	})
 }
 
-func (s *Stats) txnSnapshot() map[string]any {
-	out := map[string]any{
-		"committed": s.Committed,
-		"measured":  s.Measured,
-		"aborts":    s.Aborts,
-		"failed":    s.Failed,
+// txnExtra reports node i's snapshot-path counters for its txn stats entry.
+// They appear only once the MVCC path has served work, keeping MVCC-off
+// stats byte-identical to the pre-MVCC seed.
+func (cl *Cluster) txnExtra(i int) map[string]int64 {
+	s := &cl.nodes[i].stats
+	if s.SnapCommitted|s.SnapInline|s.SnapWalks == 0 {
+		return nil
 	}
-	// Snapshot-path counters appear only once the MVCC path has served
-	// work, keeping MVCC-off stats byte-identical to the pre-MVCC seed.
-	if s.SnapCommitted|s.SnapInline|s.SnapWalks != 0 {
-		out["snap_committed"] = s.SnapCommitted
-		out["snap_inline"] = s.SnapInline
-		out["snap_walks"] = s.SnapWalks
+	return map[string]int64{
+		"snap_committed": s.SnapCommitted,
+		"snap_inline":    s.SnapInline,
+		"snap_walks":     s.SnapWalks,
 	}
-	return out
 }
 
 // timeoutMap keys non-zero watchdog expirations by phase name.
@@ -261,19 +206,6 @@ func timeoutMap(timeouts [numPhases]int64) map[string]int64 {
 			continue
 		}
 		out[phase(i).String()] = v
-	}
-	return out
-}
-
-// abortReasonMap keys non-zero abort counts by status name, skipping the
-// StatusOK slot.
-func abortReasonMap(reasons [wire.NumStatuses]int64) map[string]int64 {
-	out := map[string]int64{}
-	for i, v := range reasons {
-		if wire.Status(i) == wire.StatusOK || v == 0 {
-			continue
-		}
-		out[wire.Status(i).String()] = v
 	}
 	return out
 }

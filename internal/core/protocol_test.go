@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"xenic/internal/membership"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -93,7 +95,7 @@ func TestApplicationAborts(t *testing.T) {
 	g := &condGen{keys: 300, mode: 0}
 	cfg := testConfig(4, AllFeatures())
 	cfg.MaxRetries = 2 // guard aborts are deterministic: don't spin
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestApplicationAborts(t *testing.T) {
 func TestMultiRoundExecution(t *testing.T) {
 	g := &condGen{keys: 300, mode: 1}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +151,26 @@ func TestMultiRoundExecution(t *testing.T) {
 	}
 }
 
+// TestMembershipConfigValidation: a zero lease duration, renew period or
+// check period is rejected at construction instead of reaching the lease
+// tickers.
+func TestMembershipConfigValidation(t *testing.T) {
+	g := &condGen{keys: 100}
+	for i, zero := range []func(*membership.Config){
+		func(m *membership.Config) { *m = membership.Config{} },
+		func(m *membership.Config) { m.LeaseDuration = 0 },
+		func(m *membership.Config) { m.RenewPeriod = 0 },
+		func(m *membership.Config) { m.CheckPeriod = -1 },
+	} {
+		cfg := DefaultConfig()
+		cfg.Nodes = 4
+		zero(&cfg.Membership)
+		if _, err := New(cfg, g, runner.Observers{}); err == nil {
+			t.Errorf("membership config %d accepted: %+v", i, cfg.Membership)
+		}
+	}
+}
+
 func TestRejectsBadConfig(t *testing.T) {
 	g := &condGen{keys: 100}
 	bad := []Config{
@@ -158,7 +180,7 @@ func TestRejectsBadConfig(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.Outstanding = 0; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg, g); err == nil {
+		if _, err := New(cfg, g, runner.Observers{}); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

@@ -174,7 +174,6 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 	slices.Sort(ids)
 	for _, id := range ids {
 		t := n.ctxns[id]
-		n.dbgEvt(id, "abortInFlight phase=%v epoch=%d", t.phase, v.Epoch)
 		t.dead = true
 		if t.phase == phCommit {
 			// Already reported committed: in-flight COMMITs to surviving
@@ -341,7 +340,6 @@ func (n *Node) adoptShards(c *nicrt.Core, v membership.View) {
 					keys = append(keys, kv.Key)
 				}
 			}
-			n.dbgEvt(ts.txn, "adoptShards pendingDecide shard=%d keys=%d", s, len(keys))
 			n.pendingDecide[ts] = keys
 		}
 		if !started {
@@ -573,7 +571,6 @@ func (n *Node) handleRecoveryDecide(c *nicrt.Core, m *wire.RecoveryDecide) {
 		return
 	}
 	ts := txnShard{txn: m.TxnID, shard: shard}
-	n.dbgEvt(m.TxnID, "handleRecoveryDecide shard=%d commit=%v", shard, m.Commit)
 	if keys, ok := n.pendingDecide[ts]; ok {
 		delete(n.pendingDecide, ts)
 		if p := n.prim(shard); p != nil {

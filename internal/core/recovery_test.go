@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 )
 
@@ -13,7 +14,7 @@ func recoverySetup(t *testing.T, victim int, runBefore, runAfter sim.Time) (*Clu
 	t.Helper()
 	g := &kvGen{keys: 600, keysPer: 3, readFrac: 0.3, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestDoubleFailure(t *testing.T) {
 	// Kill two of four nodes (RF=3 leaves one survivor per shard).
 	g := &kvGen{keys: 400, keysPer: 2, readFrac: 0.3, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestDoubleFailure(t *testing.T) {
 func TestRepeatedCrashSameShard(t *testing.T) {
 	g := &kvGen{keys: 400, keysPer: 2, readFrac: 0.3, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestDeterministicRecovery(t *testing.T) {
 	run := func() uint64 {
 		g := &kvGen{keys: 300, keysPer: 2, readFrac: 0.3, nicExec: true}
 		cfg := testConfig(4, AllFeatures())
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, runner.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"xenic/internal/check"
 	"xenic/internal/fault"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/wire"
 	"xenic/internal/workload/retwis"
@@ -30,7 +31,7 @@ func rejoinConfig(t *testing.T, nodes int, plan string) Config {
 func TestRestartRejoin(t *testing.T) {
 	g := &kvGen{keys: 600, keysPer: 3, readFrac: 0.3, nicExec: true}
 	cfg := rejoinConfig(t, 4, "crash=2@5ms,restart=2@12ms")
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +95,11 @@ func TestViewChangeReleasesInFlightLocalExecLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Faults = plan
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, runner.Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(6 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -128,7 +128,7 @@ func TestRestartDeterminism(t *testing.T) {
 	run := func() (int64, int64, sim.Time) {
 		g := &kvGen{keys: 400, keysPer: 3, readFrac: 0.3, nicExec: true}
 		cfg := rejoinConfig(t, 4, "crash=1@4ms,restart=1@11ms,drop=0.01")
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, runner.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 	// Partition node 1 long enough for its lease to lapse (it is evicted and
 	// self-fences); the partition heals, then the node restarts and rejoins.
 	cfg := rejoinConfig(t, 4, "part=1@3ms+4ms,restart=1@9ms")
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRecoveryRevoteOnSecondViewChange(t *testing.T) {
 	// stalled until node 0 is itself evicted — a second view change while
 	// recoveries are in flight.
 	cfg := rejoinConfig(t, 4, "crash=2@5ms,part=0@6900us+4ms")
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

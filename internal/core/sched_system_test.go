@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"xenic/internal/fault"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
+	"xenic/internal/txnmodel"
 )
 
 // hotGen returns a counter workload squeezed onto few keys so hot-key
@@ -29,7 +31,7 @@ func TestSchedOnDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var results []string
 		for rep := 0; rep < 2; rep++ {
-			cl, err := New(schedConfig(seed), hotGen())
+			cl, err := New(schedConfig(seed), hotGen(), runner.Observers{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +48,7 @@ func TestSchedOnDeterminism(t *testing.T) {
 // hot-key workload — transactions flow through it, some are serialized — and
 // the cluster still drains to quiescence (no parked transaction is leaked).
 func TestSchedEngagesUnderContention(t *testing.T) {
-	cl, err := New(schedConfig(7), hotGen())
+	cl, err := New(schedConfig(7), hotGen(), runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestSchedEngagesUnderContention(t *testing.T) {
 }
 
 // abortSum adds up every per-reason abort field of a Result.
-func abortSum(res Result) int64 {
+func abortSum(res txnmodel.Result) int64 {
 	return res.AbortLocked + res.AbortVersion + res.AbortMissing +
 		res.AbortView + res.AbortTimeout + res.AbortSched + res.AbortSnapshot
 }
@@ -78,7 +80,7 @@ func abortSum(res Result) int64 {
 // test for the Measure aggregation bug where AbortTimeout (and then
 // AbortSched) were counted in Aborts but missing from the breakdown.
 func TestSchedAbortAccountingCrossCheck(t *testing.T) {
-	cl, err := New(schedConfig(11), hotGen())
+	cl, err := New(schedConfig(11), hotGen(), runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestAbortAccountingCrossCheckFaulty(t *testing.T) {
 		cfg.Seed = 5
 		cfg.Sched = sched
 		cfg.Faults = plan
-		cl, err := New(cfg, hotGen())
+		cl, err := New(cfg, hotGen(), runner.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

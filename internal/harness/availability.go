@@ -94,7 +94,8 @@ func availabilityCell(opt Options, seed int64) availOutcome {
 	// The sampler sees the whole crash→restore arc; it is stopped before the
 	// drain so the series end with the measured timeline.
 	tel := opt.Telemetry.Sampler()
-	cl, err := xenic.NewCluster(cfg, g, xenic.WithTelemetry(tel))
+	reg := opt.Stats.Registry()
+	cl, err := xenic.NewCluster(cfg, g, xenic.WithStats(reg), xenic.WithTelemetry(tel))
 	if err != nil {
 		out.err = err
 		return out
@@ -193,7 +194,7 @@ func availabilityCell(opt Options, seed int64) availOutcome {
 		out.err = err
 		return out
 	}
-	opt.Stats.Snap("availability", cl.RegisterMetrics)
+	opt.Stats.Snap("availability", reg)
 	return out
 }
 

@@ -95,8 +95,8 @@ func runContentionSweep(opt Options) *Report {
 			cfg.SchedBatchUs = o.Sched.BatchUs
 			cfg.SchedHotK = o.Sched.HotK
 		}
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel))
+		attach, record := o.observe()
+		cl, err := xenic.NewCluster(cfg, d.gen(), attach)
 		if err != nil {
 			panic(err)
 		}
@@ -106,8 +106,7 @@ func runContentionSweep(opt Options) *Report {
 		}
 		res := cl.Measure(cw, cv)
 		label := fmt.Sprintf("contention/%s-%s-%s", d.workload, d.skew, onOff(cfg.Sched))
-		o.Stats.Snap(label, cl.RegisterMetrics)
-		o.Telemetry.Done(label, tel)
+		record(label)
 		return cellRes{res: res, sched: cl.SchedStats()}
 	})
 

@@ -59,14 +59,13 @@ func runFig9a(opt Options) *Report {
 			dcfg.Threads = s.threads
 			dcfg.Outstanding = window
 			dcfg.Seed = o.Seed
-			tel := o.Telemetry.Sampler()
-			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+			attach, record := o.observe()
+			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), attach)
 			if err != nil {
 				panic(err)
 			}
 			res := dcl.Measure(warm, win)
-			o.Stats.Snap("fig9a/DrTM+H", dcl.RegisterMetrics)
-			o.Telemetry.Done("fig9a/DrTM+H", tel)
+			record("fig9a/DrTM+H")
 			return res
 		}
 		st := steps[i-1]
@@ -75,14 +74,13 @@ func runFig9a(opt Options) *Report {
 		cfg.Outstanding = window
 		cfg.Features = st.feat
 		cfg.Seed = o.Seed
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+		attach, record := o.observe()
+		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), attach)
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
-		o.Stats.Snap("fig9a/"+st.name, cl.RegisterMetrics)
-		o.Telemetry.Done("fig9a/"+st.name, tel)
+		record("fig9a/" + st.name)
 		return res
 	})
 
@@ -138,14 +136,13 @@ func runFig9b(opt Options) *Report {
 			dcfg.Threads = s.threads
 			dcfg.Outstanding = 1 // low load
 			dcfg.Seed = o.Seed
-			tel := o.Telemetry.Sampler()
-			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+			attach, record := o.observe()
+			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), attach)
 			if err != nil {
 				panic(err)
 			}
 			res := dcl.Measure(warm, win)
-			o.Stats.Snap("fig9b/DrTM+H", dcl.RegisterMetrics)
-			o.Telemetry.Done("fig9b/DrTM+H", tel)
+			record("fig9b/DrTM+H")
 			return res
 		}
 		st := steps[i-1]
@@ -154,14 +151,13 @@ func runFig9b(opt Options) *Report {
 		cfg.Outstanding = 1
 		cfg.Features = st.feat
 		cfg.Seed = o.Seed
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+		attach, record := o.observe()
+		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), attach)
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
-		o.Stats.Snap("fig9b/"+st.name, cl.RegisterMetrics)
-		o.Telemetry.Done("fig9b/"+st.name, tel)
+		record("fig9b/" + st.name)
 		return res
 	})
 

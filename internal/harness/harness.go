@@ -9,7 +9,9 @@ import (
 	"io"
 	"sort"
 
+	"xenic"
 	"xenic/internal/metrics"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/telemetry"
 )
@@ -82,17 +84,40 @@ func (c *StatsCollector) add(label string, snap any) {
 	c.keys = append(c.keys, key)
 }
 
-// Snap builds a fresh registry for a just-measured cluster via register and
-// stores its snapshot under label. A nil collector ignores the call, so
-// runners invoke it unconditionally after each Measure; registration is
-// lazy, so attaching after the run costs nothing during it.
-func (c *StatsCollector) Snap(label string, register func(*metrics.Registry)) {
+// Registry returns a fresh registry for one cell's system to register into
+// at construction (xenic.WithStats), or nil when the collector is off.
+// Registration is lazy, so an attached registry costs nothing during the
+// run.
+func (c *StatsCollector) Registry() *metrics.Registry {
+	if c == nil {
+		return nil
+	}
+	return metrics.NewRegistry()
+}
+
+// Snap stores the snapshot of a just-measured system's registry under
+// label. A nil collector ignores the call, so runners invoke it
+// unconditionally after each Measure.
+func (c *StatsCollector) Snap(label string, reg *metrics.Registry) {
 	if c == nil {
 		return
 	}
-	reg := metrics.NewRegistry()
-	register(reg)
 	c.add(label, reg.Snapshot())
+}
+
+// observe returns the construction option attaching this cell's stats
+// registry and telemetry sampler (each nil when its collector is off), and
+// record, which files both under label as soon as the cell has measured.
+func (o Options) observe() (attach xenic.Option, record func(label string)) {
+	reg, tel := o.Stats.Registry(), o.Telemetry.Sampler()
+	attach = func(obs *runner.Observers) {
+		xenic.WithStats(reg)(obs)
+		xenic.WithTelemetry(tel)(obs)
+	}
+	return attach, func(label string) {
+		o.Stats.Snap(label, reg)
+		o.Telemetry.Done(label, tel)
+	}
 }
 
 // merge appends every snapshot of sub, in sub's insertion order, re-running

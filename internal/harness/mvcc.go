@@ -74,15 +74,14 @@ func runMVCCSweep(opt Options) *Report {
 		cfg.Outstanding = 16
 		cfg.Seed = o.Seed
 		cfg.MVCC = i%2 == 1
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel))
+		attach, record := o.observe()
+		cl, err := xenic.NewCluster(cfg, d.gen(), attach)
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
 		label := fmt.Sprintf("mvcc/%s-ro%.0f-%s", d.workload, 100*d.roFrac, onOff(cfg.MVCC))
-		o.Stats.Snap(label, cl.RegisterMetrics)
-		o.Telemetry.Done(label, tel)
+		record(label)
 		return res
 	})
 

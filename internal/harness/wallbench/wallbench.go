@@ -20,6 +20,7 @@ import (
 	"xenic/internal/harness"
 	"xenic/internal/model"
 	"xenic/internal/pcie"
+	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/simnet"
 	"xenic/internal/txnmodel"
@@ -144,7 +145,7 @@ func mvccAB(seed int64) MVCCBench {
 		cfg.Outstanding = 8
 		cfg.Seed = seed
 		cfg.MVCC = mvcc
-		cl, err := core.New(cfg, g)
+		cl, err := core.New(cfg, g, runner.Observers{})
 		if err != nil {
 			panic(fmt.Sprintf("wallbench: mvcc A/B cell: %v", err))
 		}

@@ -37,6 +37,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects non-positive lease timing: leases must last a positive
+// time, and the renewal and expiry-check tickers need positive periods.
+func (c Config) Validate() error {
+	if c.LeaseDuration <= 0 || c.RenewPeriod <= 0 || c.CheckPeriod <= 0 {
+		return fmt.Errorf("membership: lease duration %v, renew period %v and check period %v must all be positive",
+			c.LeaseDuration, c.RenewPeriod, c.CheckPeriod)
+	}
+	return nil
+}
+
 // View is one configuration epoch.
 type View struct {
 	Epoch int

@@ -14,7 +14,6 @@ type fakeDriver struct {
 	eng      *sim.Engine
 	service  sim.Time
 	injected int
-	closed   bool // closed-loop flag, toggled by Start/StopClosedLoop
 }
 
 func newFakeDriver() *fakeDriver {
@@ -25,8 +24,6 @@ func (f *fakeDriver) Engine() *sim.Engine          { return f.eng }
 func (f *fakeDriver) Nodes() int                   { return 4 }
 func (f *fakeDriver) AppThreadsPerNode() int       { return 2 }
 func (f *fakeDriver) Workload() txnmodel.Generator { return fakeGen{} }
-func (f *fakeDriver) StartClosedLoop()             { f.closed = true }
-func (f *fakeDriver) StopClosedLoop()              { f.closed = false }
 func (f *fakeDriver) InjectTxn(node, thread int, d *txnmodel.TxnDesc, done func(bool)) {
 	f.injected++
 	if done != nil {
@@ -63,9 +60,6 @@ func TestSourceAgainstFakeDriver(t *testing.T) {
 	}
 	if st.Admitted != st.Offered {
 		t.Fatalf("unlimited policy dropped arrivals: %+v", st)
-	}
-	if d.closed {
-		t.Fatal("open-loop source started the closed loop")
 	}
 	src.Stop()
 	before := src.Stats().Offered
