@@ -38,7 +38,6 @@ func main() {
 	statsJSONOut := flag.String("stats-json", "", "write one machine-readable document (reports + stats snapshots + bottleneck verdicts) to this JSON file")
 	tel := cliflags.AddTelemetry(flag.CommandLine, "collect time-resolved telemetry; write PREFIX-<id>.csv/.json per experiment and a PREFIX.html dashboard")
 	ol := cliflags.AddOpenLoop(flag.CommandLine)
-	sched := cliflags.AddSched(flag.CommandLine)
 	wallOut := flag.String("wallbench", "", "time the harness itself (wall seconds, cells/sec, peak RSS, engine allocs/op) and write the result to this JSON file")
 	wallTel := flag.Bool("wallbench-telemetry", false, "with -wallbench: run every experiment with a telemetry collector attached (times the sampling overhead; series are discarded)")
 	baselinePath := flag.String("baseline", "", "with -wallbench: compare against this committed baseline, exit nonzero if cells/sec regresses beyond -baseline-frac or a hot path allocates")
@@ -108,10 +107,7 @@ func main() {
 		// The open-loop flags parameterize the slo experiment (-arrival,
 		// -admit, -sessions, -slo-us); other experiments ignore them.
 		SLO: &harness.SLOTuning{Arrival: ol.Arrival, Admit: ol.Admit,
-			Sessions: ol.Sessions, SLOUs: ol.SLOUs},
-		// The scheduler flags parameterize the contention experiment's
-		// scheduler-on cells (-sched-batch-us, -sched-hot-k).
-		Sched: &harness.SchedTuning{BatchUs: sched.BatchUs, HotK: sched.HotK}}
+			Sessions: ol.Sessions, SLOUs: ol.SLOUs}}
 	collectStats := *statsOut != "" || *statsJSONOut != ""
 	allStats := map[string]any{}
 	var reports []*harness.Report

@@ -74,7 +74,6 @@ func main() {
 	alpha := flag.Float64("alpha", 0, "override the retwis Zipf skew alpha (0 = the paper's 0.5)")
 	hotFrac := flag.Float64("hot-frac", 0, "override the smallbank hot-account fraction (0 = the paper's 0.04)")
 	hotProb := flag.Float64("hot-prob", 0, "override the smallbank hot-access probability (0 = the paper's 0.9)")
-	sched := cliflags.AddSched(flag.CommandLine)
 	flag.Parse()
 
 	var plan *xenic.FaultPlan
@@ -161,9 +160,6 @@ func main() {
 		cfg.Faults = plan
 		cfg.MVCC = obs.MVCC
 		cfg.MVCCKeep = obs.MVCCKeep
-		cfg.Sched = sched.Enabled
-		cfg.SchedBatchUs = sched.BatchUs
-		cfg.SchedHotK = sched.HotK
 		if *oneLink {
 			cfg.Params = cfg.Params.OneLink()
 		}
@@ -212,9 +208,6 @@ func main() {
 	}
 	if obs.MVCC {
 		fmt.Fprintln(os.Stderr, "xenic-sim: -mvcc is only supported for -system xenic; ignoring")
-	}
-	if sched.Enabled {
-		fmt.Fprintln(os.Stderr, "xenic-sim: -sched is only supported for -system xenic; ignoring")
 	}
 	cl, err := xenic.NewBaseline(cfg, gen, opts...)
 	must(err)

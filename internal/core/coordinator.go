@@ -621,14 +621,6 @@ func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
 // logPhase replicates the write set to every surviving backup of every
 // write shard (§4.2 step 5).
 func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
-	// Validation succeeded: this transaction's outcome is decided, so its
-	// hot-key claims can release now instead of at close. A waiter admitted
-	// here overlaps its read round with this transaction's log/commit tail
-	// (by the time it reaches validation the writes are applied), restoring
-	// the phase overlap OCC gets for free while still keeping conflicters
-	// out of the owner's execute/validate window. closeTxn's release is a
-	// no-op after this one.
-	n.nic.SchedDone(t.id)
 	n.setPhase(t, phLog)
 	if mutUnlockBeforeLog {
 		n.mutReleaseLocks(c, t)
@@ -896,17 +888,6 @@ func (n *Node) finishTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
 		done.ReadSet = n.readsInOrder(t)
 	}
 	c.SendHost(done)
-}
-
-// shedTxn reports a scheduler-shed transaction back to the host as an
-// abort. The transaction never started — the scheduler parked it past its
-// shed deadline, so there is no ctxn and no locks to release; the host
-// retries it with backoff like any other abort.
-func (n *Node) shedTxn(c *nicrt.Core, req *wire.TxnRequest) {
-	c.SendHost(&wire.TxnDone{
-		Header: wire.Header{TxnID: req.TxnID, Src: uint8(n.id)},
-		Status: wire.StatusAbortSched,
-	})
 }
 
 // --- shipped path (§4.2.3) ---

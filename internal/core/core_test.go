@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xenic/internal/fault"
 	"xenic/internal/runner"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
@@ -203,6 +204,33 @@ func TestCountersHighContention(t *testing.T) {
 	}
 	if aborts == 0 {
 		t.Fatal("no aborts under heavy contention — lock conflicts not detected?")
+	}
+}
+
+// TestAbortAccountingCrossCheckFaulty pins the accounting invariant on a
+// lossy high-contention run: every abort increments exactly one per-reason
+// counter, so the per-reason fields sum to Aborts.
+func TestAbortAccountingCrossCheckFaulty(t *testing.T) {
+	plan, err := fault.Parse("drop=0.02,delay=0.05,maxdelay=60us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(4, AllFeatures())
+	cfg.Seed = 5
+	cfg.Faults = plan
+	g := &kvGen{keys: 48, keysPer: 2, readFrac: 0.1, nicExec: true}
+	cl, err := New(cfg, g, runner.Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := cl.Measure(500*sim.Microsecond, 4*sim.Millisecond)
+	if res.Aborts == 0 {
+		t.Fatalf("faulty run produced no aborts: %+v", res)
+	}
+	sum := res.AbortLocked + res.AbortVersion + res.AbortMissing +
+		res.AbortView + res.AbortTimeout + res.AbortSnapshot
+	if sum != res.Aborts {
+		t.Errorf("per-reason sum %d != aborts %d (%+v)", sum, res.Aborts, res)
 	}
 }
 

@@ -125,11 +125,6 @@ func (n *Node) setPhase(t *ctxn, ph phase) {
 // closeTxn finishes accounting when the coordinator drops t's state. Call
 // exactly once per ctxn, immediately before deleting it from n.ctxns.
 func (n *Node) closeTxn(t *ctxn, st wire.Status) {
-	// Release any hot-key claims the conflict scheduler holds for this
-	// transaction and re-admit its waiters. closeTxn is the single funnel
-	// every coordinated transaction passes through exactly once (commit,
-	// abort, recovery sweep, snapshot), so claims cannot leak.
-	n.nic.SchedDone(t.id)
 	now := n.cl.eng.Now()
 	if h := n.stats.PhaseLat[t.phase]; h != nil {
 		h.Record(now - t.phaseAt)

@@ -41,17 +41,6 @@ type Options struct {
 	// admission policy, sessions, p99 bound) from cmd/xenic-bench's flags.
 	// Nil keeps the experiment defaults; other experiments ignore it.
 	SLO *SLOTuning
-	// Sched overrides the contention experiment's scheduler tuning from
-	// cmd/xenic-bench's -sched-* flags. Nil keeps the nicrt defaults; other
-	// experiments ignore it.
-	Sched *SchedTuning
-}
-
-// SchedTuning carries the -sched-batch-us / -sched-hot-k overrides for the
-// contention experiment's scheduler-on cells (0 = nicrt default).
-type SchedTuning struct {
-	BatchUs int
-	HotK    int
 }
 
 // StatsCollector accumulates one stats-registry snapshot per cluster run.

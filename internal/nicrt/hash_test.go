@@ -17,13 +17,13 @@ func chiSquared(counts []int, total int) float64 {
 }
 
 // hash64 steers every dispatch decision in this package (frame flows, host
-// packets, scheduler routing), and its inputs are decidedly low-entropy:
-// sequential transaction ids, node*64+core flow labels, small dense workload
-// key spaces. A finalizer that left structure in the low bits would pile
-// whole workloads onto a few NIC cores. Each stream below is a DISTINCT key
-// set (repeats would amplify per-key placement into a guaranteed chi-squared
-// failure for any hash) fed through hash64 mod cores; the core histogram
-// must pass a chi-squared uniformity test.
+// packets), and its inputs are decidedly low-entropy: sequential transaction
+// ids, node*64+core flow labels, small dense workload key spaces. A
+// finalizer that left structure in the low bits would pile whole workloads
+// onto a few NIC cores. Each stream below is a DISTINCT key set (repeats
+// would amplify per-key placement into a guaranteed chi-squared failure for
+// any hash) fed through hash64 mod cores; the core histogram must pass a
+// chi-squared uniformity test.
 //
 // Critical values for p=0.001: df=7 -> 24.32, df=15 -> 37.70. A fair hash
 // fails each stream one time in a thousand; the streams are fixed, so the

@@ -222,7 +222,6 @@ func (s *Skeleton) Measure(warmup, window sim.Time) txnmodel.Result {
 		res.AbortMissing += d[wire.StatusAbortMissing]
 		res.AbortView += d[wire.StatusAbortView]
 		res.AbortTimeout += d[wire.StatusAbortTimeout]
-		res.AbortSched += d[wire.StatusAbortSched]
 		res.AbortSnapshot += d[wire.StatusAbortSnapshot]
 		lat.Merge(c.Latency)
 	}

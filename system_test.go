@@ -64,7 +64,7 @@ func TestSystemConformance(t *testing.T) {
 				t.Errorf("%s: empty measurement: %+v", name, res)
 			}
 			reasons := res.AbortLocked + res.AbortVersion + res.AbortMissing + res.AbortView +
-				res.AbortTimeout + res.AbortSched + res.AbortSnapshot
+				res.AbortTimeout + res.AbortSnapshot
 			if reasons != res.Aborts {
 				t.Errorf("%s: per-reason aborts sum to %d, Aborts = %d: %+v", name, reasons, res.Aborts, res)
 			}
